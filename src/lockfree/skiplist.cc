@@ -1,5 +1,6 @@
 #include "lockfree/skiplist.h"
 
+#include <algorithm>
 #include <new>
 #include <vector>
 
@@ -210,6 +211,9 @@ retry:
         }
         if (level == 0) tls_unlinked.push_back(curr);
         curr = Deref(succ_word);
+        // pred now points at the unlinked node's successor; succs[level]
+        // below must report that, not the node just unlinked.
+        curr_word = MakeWord(curr, false);
         if (curr == nullptr) break;
         succ_word = LoadNext(curr, level);
       }
@@ -276,23 +280,42 @@ void SkipListMap::FinishLinking(SkipNode* node) {
 void SkipListMap::CleanupWalkAndRetire(SkipNode* victim) {
   // The victim's tower can no longer grow (link_state == kRetired) and
   // level 0 is already unlinked. Remove any remaining upper-level
-  // predecessors' references; navigation skips (without helping) other
-  // marked nodes, so this never recurses.
-  for (int level = victim->height - 1; level >= 1; --level) {
+  // predecessors' references in one top-down descent toward the
+  // victim's key; navigation skips (without helping) other marked
+  // nodes, so this never recurses.
+  //
+  // Each scan starts at `start`: the head, or the last node with a
+  // smaller key whose next word, on this level or a higher one, the
+  // walk read unmarked. Marks are set top-down, so such a node was in
+  // every lower level's list at that read, which came after the
+  // victim's last link (the tower froze first); following next words
+  // (frozen or not) from it reaches the victim on any level the victim
+  // is still linked at. A node seen only marked may already have left
+  // the lower levels (a tower link can land after the mark), and its
+  // frozen next word there can skip the victim, so it never becomes a
+  // start.
+  const int top = std::max(top_level_.load(std::memory_order_relaxed),
+                           static_cast<int>(victim->height));
+  const SkipNode* start = root_->head;
+  for (int level = top - 1; level >= 1; --level) {
     for (;;) {
       SkipNode* found_pred = nullptr;
       std::uint64_t found_word = 0;
-      const SkipNode* scan = root_->head;
-      while (scan != nullptr) {
-        const std::uint64_t next_word = LoadNext(scan, level);
-        SkipNode* next = Deref(next_word);
+      const SkipNode* scan = start;
+      std::uint64_t word = LoadNext(scan, level);
+      for (;;) {
+        SkipNode* next = Deref(word);
         if (next == victim) {
           found_pred = const_cast<SkipNode*>(scan);
-          found_word = next_word;
+          found_word = word;
           break;
         }
         if (next == nullptr || next->key > victim->key) break;
+        const std::uint64_t next_word = LoadNext(next, level);
+        __builtin_prefetch(Deref(next_word));
+        if (next->key < victim->key && !IsMarked(next_word)) start = next;
         scan = next;
+        word = next_word;
       }
       if (found_pred == nullptr) break;  // not linked at this level
       // Preserve the pred's own mark bit; unlinking through a marked
@@ -412,7 +435,10 @@ bool SkipListMap::Put(std::uint64_t key, std::uint64_t value) {
 SkipNode* SkipListMap::SearchNode(std::uint64_t key) const {
   // Wait-free traversal: no unlinking, just skip marked nodes. Starts
   // at the descent hint instead of kMaxHeight (the head tower above the
-  // hint is empty).
+  // hint is empty). Like Herlihy–Shavit's contains, only a node seen
+  // unmarked becomes the next level's start: a marked one may already
+  // have left the lower levels, and its frozen next words there can
+  // skip a present key (CleanupWalkAndRetire has the same rule).
   const SkipNode* pred = root_->head;
   for (int level = top_level_.load(std::memory_order_relaxed) - 1;
        level >= 1; --level) {
@@ -420,10 +446,11 @@ SkipNode* SkipListMap::SearchNode(std::uint64_t key) const {
     while (curr != nullptr) {
       // Prefetch the next hop before the key compare: the descent is
       // memory-latency bound, and the branch usually overlaps the miss.
-      const SkipNode* succ = Deref(LoadNext(curr, level));
+      const std::uint64_t succ_word = LoadNext(curr, level);
+      const SkipNode* succ = Deref(succ_word);
       __builtin_prefetch(succ);
       if (curr->key >= key) break;
-      pred = curr;
+      if (!IsMarked(succ_word)) pred = curr;
       curr = succ;
     }
   }

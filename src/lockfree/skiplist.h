@@ -220,8 +220,9 @@ class SkipListMap {
   void FinishLinking(SkipNode* node);
 
   /// Unlinks any remaining upper-level references to `victim` (whose
-  /// level 0 is already unlinked and whose tower can no longer grow),
-  /// then retires it.
+  /// level 0 is already unlinked and whose tower can no longer grow) in
+  /// one top-down descent toward its key, O(log n) like a search, then
+  /// retires it.
   void CleanupWalkAndRetire(SkipNode* victim);
 
   SkipNode* AllocNode(std::uint64_t key, std::uint64_t value, int height);

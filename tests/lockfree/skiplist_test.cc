@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -350,6 +351,143 @@ TEST_F(SkipListTest, StaleHintFacadeSelfRaisesInsteadOfInverting) {
   SkipListMap fresh(heap_.get(), root, &shared_epoch);
   EXPECT_GE(stale.top_level_hint(), fresh.top_level_hint());
   shared_epoch.UnregisterCurrentThread();
+}
+
+// Level-0 node holding `key`, or nullptr (quiescent white-box lookup).
+SkipNode* NodeAtLevel0(const SkipListMap& map, std::uint64_t key) {
+  const SkipNode* node = map.root()->head;
+  while (node != nullptr && (node->is_head != 0 || node->key < key)) {
+    node = reinterpret_cast<const SkipNode*>(
+        node->next[0].load() & ~std::uint64_t{1});
+  }
+  return node != nullptr && node->key == key ? const_cast<SkipNode*>(node)
+                                             : nullptr;
+}
+
+// Regression: when Find unlinked a marked node and then stopped at its
+// successor, it reported the unlinked node as succs[0] instead of the
+// successor, so Remove of a present key returned false and the key
+// stayed. A peer that marked a node but has not unlinked it yet leaves
+// exactly this state, and so does a crash image.
+TEST_F(SkipListTest, RemoveAfterUnlinkingAMarkedPredecessor) {
+  ASSERT_TRUE(map_->Insert(10, 100));
+  ASSERT_TRUE(map_->Insert(11, 110));
+  SkipNode* marked = NodeAtLevel0(*map_, 10);
+  ASSERT_NE(marked, nullptr);
+  for (std::int32_t level = 0; level < marked->height; ++level) {
+    marked->next[level].fetch_or(1);
+  }
+  EXPECT_TRUE(map_->Remove(11));
+  EXPECT_FALSE(map_->Get(11).has_value());
+  EXPECT_FALSE(map_->Get(10).has_value());
+  EXPECT_EQ(map_->Validate(/*expect_no_marks=*/true), 0u);
+  map_->epoch()->UnregisterCurrentThread();
+}
+
+// Regression: a node marked and unlinked at level 0 can still sit,
+// marked, at level 1 (its inserter's level-1 link CAS can land after
+// the mark). Its frozen level-0 word may point past keys inserted
+// since; a search that descends from it misses them. Get must take the
+// next level's start from unmarked nodes only.
+TEST_F(SkipListTest, GetDoesNotDescendThroughAMarkedPredecessor) {
+  // Find a tower A (height >= 2) whose level-0 successor V is followed
+  // by a further node X.
+  SkipNode* a = nullptr;
+  for (std::uint64_t key = 10; a == nullptr && key < 100000; key += 10) {
+    ASSERT_TRUE(map_->Insert(key, key + 1));
+    SkipNode* node = key > 20 ? NodeAtLevel0(*map_, key - 20) : nullptr;
+    if (node != nullptr && node->height >= 2) a = node;
+  }
+  ASSERT_NE(a, nullptr) << "no tall tower; test is vacuous";
+  SkipNode* v = NodeAtLevel0(*map_, a->key + 10);
+  SkipNode* x = NodeAtLevel0(*map_, a->key + 20);
+  ASSERT_NE(v, nullptr);
+  ASSERT_NE(x, nullptr);
+  SkipNode* pred0 = map_->root()->head;
+  while (pred0->next[0].load() != reinterpret_cast<std::uint64_t>(a)) {
+    pred0 = reinterpret_cast<SkipNode*>(pred0->next[0].load());
+  }
+  // A: marked everywhere, still linked at level 1 and up, unlinked at
+  // level 0 with a frozen word that skips V.
+  for (std::int32_t level = 1; level < a->height; ++level) {
+    a->next[level].fetch_or(1);
+  }
+  pred0->next[0].store(reinterpret_cast<std::uint64_t>(v));
+  a->next[0].store(reinterpret_cast<std::uint64_t>(x) | 1);
+
+  EXPECT_EQ(map_->Get(v->key), v->key + 1);
+  EXPECT_FALSE(map_->Get(a->key).has_value());
+  EXPECT_FALSE(map_->Put(v->key, 7));
+  EXPECT_EQ(map_->Get(v->key), 7u);
+  map_->epoch()->UnregisterCurrentThread();
+}
+
+// Mirrors the benchmark's read-mostly workload at smoke size: each
+// thread owns the keys = t mod 4 of an 8192-key space, half of them
+// pre-populated, and issues 90% Get, 5% Put of an absent key and 5%
+// Remove of a present key, each checked against its own model. Every
+// successful Remove must retire its node exactly once.
+TEST_F(SkipListTest, ReadMostlyPartitionsMatchPerThreadModels) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeySpace = 8192;
+  constexpr int kOpsPerThread = 50000;
+  std::vector<std::set<std::uint64_t>> models(kThreads);
+  for (std::uint64_t key = 0; key < kKeySpace; ++key) {
+    if ((key / kThreads) % 2 == 0) {
+      ASSERT_TRUE(map_->Insert(key, key));
+      models[key % kThreads].insert(key);
+    }
+  }
+  const std::uint64_t retired_before = map_->epoch()->GetStats().nodes_retired;
+  std::atomic<std::uint64_t> removes{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::set<std::uint64_t>& model = models[t];
+      Random rng(0x5EED + t);
+      const auto random_key = [&] {
+        return rng.Uniform(kKeySpace / kThreads) * kThreads + t;
+      };
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::uint64_t dice = rng.Uniform(100);
+        if (dice < 90) {
+          const std::uint64_t key = random_key();
+          const auto value = map_->Get(key);
+          const bool present = model.count(key) == 1;
+          if (value.has_value() != present || (present && *value != key)) {
+            mismatches.fetch_add(1);
+          }
+          continue;
+        }
+        const bool put = dice < 95;
+        std::uint64_t key = random_key();
+        while ((model.count(key) == 1) == put) key = random_key();
+        if (put) {
+          if (!map_->Put(key, key)) mismatches.fetch_add(1);
+          model.insert(key);
+        } else {
+          if (map_->Remove(key)) {
+            removes.fetch_add(1);
+          } else {
+            mismatches.fetch_add(1);
+          }
+          model.erase(key);
+        }
+      }
+      map_->epoch()->UnregisterCurrentThread();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::size_t live = 0;
+  for (const auto& model : models) live += model.size();
+  EXPECT_EQ(map_->Validate(/*expect_no_marks=*/true), live);
+  EXPECT_EQ(map_->epoch()->GetStats().nodes_retired - retired_before,
+            removes.load());
+  EXPECT_GT(removes.load(), 0u);
+  map_->epoch()->UnregisterCurrentThread();
 }
 
 TEST_F(SkipListTest, SurvivesReopenAfterCrash) {
