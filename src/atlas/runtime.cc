@@ -704,14 +704,15 @@ void AtlasThread::OnAcquire(PLockWord* lock, std::uint32_t lock_id) {
 void AtlasThread::OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id) {
   TSP_DCHECK_GT(depth_, 0);
   pheap::TspSanitizer::NoteOcsDepth(depth_ - 1);
-  // Fast-path eligibility: outermost, dependency-free, nothing deferred,
-  // and every earlier OCS of this thread already stable. Decided before
-  // the release entry would be written, because the fast path never
-  // writes one: the inline trim would erase it in the same breath, and
-  // a crash before the trim simply rolls the OCS back — the mutex is
-  // still held here, so no thread has observed its writes.
+  // Fast-path eligibility: outermost, dependency-free, and every
+  // earlier OCS of this thread already stable. Decided before the
+  // release entry would be written, because the fast path never writes
+  // one: the inline trim would erase it in the same breath, and a crash
+  // before the trim simply rolls the OCS back — the mutex is still held
+  // here, so no thread has observed its writes. Deferred frees do not
+  // disqualify: OnReleaseFinish runs them once the trim has made the
+  // OCS immune to rollback.
   fast_commit_ = depth_ == 1 && current_deps_.empty() &&
-                 current_deferred_frees_.empty() &&
                  slot_->stable_ocs.load(std::memory_order_relaxed) ==
                      current_ocs_ - 1;
   if (!fast_commit_) {
@@ -774,6 +775,15 @@ void AtlasThread::OnReleaseFinish() {
                      std::move(current_deps_),
                      std::move(current_deferred_frees_)});
     current_deps_.clear();
+    current_deferred_frees_.clear();
+  } else if (!current_deferred_frees_.empty()) {
+    // OnReleaseBegin trimmed the ring before the unlock, so this OCS
+    // can never roll back and its unlinked blocks are garbage. A kill
+    // before these frees only leaks unreachable blocks, which the
+    // recovery GC reclaims.
+    for (void* payload : current_deferred_frees_) {
+      runtime_->heap()->Free(payload);
+    }
     current_deferred_frees_.clear();
   }
   fresh_spans_.clear();

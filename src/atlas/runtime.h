@@ -147,9 +147,10 @@ class AtlasThread {
   /// entry) so OnAcquire only has the work that genuinely needs the
   /// lock (Lamport resync + dependency edge). Symmetrically,
   /// OnReleaseBegin is the in-lock half of OnRelease and
-  /// OnReleaseFinish runs the commit bookkeeping (stats, trace, pruner
-  /// publication) after the mutex is dropped. OnAcquire/OnRelease
-  /// remain self-sufficient for callers that do not split.
+  /// OnReleaseFinish runs the commit bookkeeping (stats, pruner
+  /// publication or a fast-path commit's deferred frees) after the
+  /// mutex is dropped. OnAcquire/OnRelease remain self-sufficient for
+  /// callers that do not split.
   void OnAcquirePrep(std::uint32_t lock_id);
   void OnReleaseBegin(PLockWord* lock, std::uint32_t lock_id);
   void OnReleaseFinish();
@@ -162,10 +163,13 @@ class AtlasThread {
   /// recovery GC then reclaims the unreachable span.
   void NoteAlloc(const void* payload, std::uint32_t type_id);
 
-  /// Frees `payload` once the current OCS can never be rolled back
-  /// (i.e., when it stabilizes). Freeing inside an OCS directly would
-  /// corrupt the heap if the OCS were later rolled back and the freed
-  /// data resurrected. Outside an OCS, frees immediately.
+  /// Frees `payload` once the current OCS can never be rolled back.
+  /// Freeing inside an OCS directly would corrupt the heap if the OCS
+  /// were later rolled back and the freed data resurrected. A fast-path
+  /// commit (stable at commit) frees in OnReleaseFinish, right after the
+  /// unlock; a published commit hands the frees to the StabilityManager,
+  /// which runs them when the OCS stabilizes. Outside an OCS, frees
+  /// immediately.
   void DeferFree(void* payload);
 
   bool in_ocs() const { return depth_ > 0; }

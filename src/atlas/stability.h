@@ -34,7 +34,9 @@ struct CommittedOcs {
   std::vector<std::uint64_t> deps;
   /// Heap payloads the OCS logically freed. Applied when the OCS
   /// becomes stable: freeing earlier would corrupt the heap if a
-  /// cascade rolled the OCS back and resurrected the data.
+  /// cascade rolled the OCS back and resurrected the data. Only
+  /// slow-path (published) OCSes carry frees here; a fast-path commit
+  /// is stable at commit and frees its own blocks after the unlock.
   std::vector<void*> deferred_frees;
 };
 

@@ -50,6 +50,12 @@ void MutexHashMap::RegisterTypes(pheap::TypeRegistry* registry) {
       }});
 }
 
+std::uint64_t MutexHashMap::LockCountFor(std::uint64_t bucket_count,
+                                         std::uint64_t buckets_per_lock) {
+  TSP_CHECK_GT(buckets_per_lock, 0u);
+  return (bucket_count + buckets_per_lock - 1) / buckets_per_lock;
+}
+
 MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
                            atlas::AtlasRuntime* runtime,
                            const Options& options)
@@ -59,9 +65,8 @@ MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
       bucket_count_(root->buckets->bucket_count),
       buckets_per_lock_(options.buckets_per_lock) {
   TSP_CHECK(root_ != nullptr && root_->buckets != nullptr);
-  TSP_CHECK_GT(buckets_per_lock_, 0u);
   const std::uint64_t lock_count =
-      (bucket_count_ + buckets_per_lock_ - 1) / buckets_per_lock_;
+      LockCountFor(bucket_count_, buckets_per_lock_);
   locks_.reserve(lock_count);
   for (std::uint64_t i = 0; i < lock_count; ++i) {
     locks_.push_back(std::make_unique<atlas::PMutex>(runtime_));
@@ -70,17 +75,14 @@ MutexHashMap::MutexHashMap(pheap::PersistentHeap* heap, HashMapRoot* root,
   // attach the same map: lock i → robust word i is deterministic, so
   // each process's facade picks the same word for the same stripe and
   // the words arbitrate across processes. All-or-nothing: one unbound
-  // stripe would silently lose cross-process exclusion.
+  // stripe would silently lose cross-process exclusion. A map with more
+  // stripes than words stays unbound, which is correct for the
+  // single-process owner; MapSession refuses to attach such a map.
   if (runtime_ != nullptr && runtime_->robust_lock_count() >= lock_count) {
     for (std::uint64_t i = 0; i < lock_count; ++i) {
       locks_[i]->BindRobust(
           runtime_->robust_lock(static_cast<std::uint32_t>(i)));
     }
-  } else if (runtime_ != nullptr && runtime_->robust_lock_count() > 0) {
-    TSP_LOG(WARNING) << "map needs " << lock_count
-                     << " locks but the Atlas area has only "
-                     << runtime_->robust_lock_count()
-                     << " robust words; cross-process locking disabled";
   }
 }
 
@@ -164,7 +166,9 @@ bool MutexHashMap::Remove(std::uint64_t key) {
       StoreField(thread, link, entry->next);
       if (thread != nullptr) {
         // Physical reclamation waits until the OCS is immune to
-        // rollback (a cascaded rollback would resurrect the entry).
+        // rollback (a cascaded rollback would resurrect the entry): a
+        // fast-path commit frees it right after the unlock, a published
+        // one when the pruner stabilizes it.
         thread->DeferFree(entry);
       } else {
         heap_->Free(entry);

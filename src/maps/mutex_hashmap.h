@@ -65,6 +65,11 @@ class MutexHashMap final : public Map {
   /// Registers trace functions for the recovery GC.
   static void RegisterTypes(pheap::TypeRegistry* registry);
 
+  /// Lock stripes of a map with `bucket_count` buckets: one mutex per
+  /// `buckets_per_lock` buckets, the last stripe possibly partial.
+  static std::uint64_t LockCountFor(std::uint64_t bucket_count,
+                                    std::uint64_t buckets_per_lock);
+
   /// Attaches to an existing root. `runtime` may be null (native mode);
   /// when set, every critical section becomes an Atlas OCS and every
   /// store is undo-logged per the runtime's policy.

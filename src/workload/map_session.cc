@@ -271,6 +271,21 @@ StatusOr<std::unique_ptr<maps::Map>> MapSession::InitShard(int shard) {
         }
         root->map_root = map_root;
       }
+      if (config_.attach && runtime != nullptr) {
+        // Live peers share this map: every stripe must arbitrate through
+        // a robust word, or two processes could hold one stripe at once.
+        const std::uint64_t stripes = maps::MutexHashMap::LockCountFor(
+            map_root->buckets->bucket_count,
+            config_.hash_options.buckets_per_lock);
+        if (stripes > runtime->robust_lock_count()) {
+          return Status::FailedPrecondition(
+              "attach needs " + std::to_string(stripes) +
+              " robust lock words for the map's lock stripes but shard " +
+              std::to_string(shard) + "'s Atlas area has " +
+              std::to_string(runtime->robust_lock_count()) +
+              "; raise buckets_per_lock or open the domain exclusively");
+        }
+      }
       return std::unique_ptr<maps::Map>(std::make_unique<maps::MutexHashMap>(
           heap, map_root, runtime, config_.hash_options));
     }

@@ -87,7 +87,10 @@ class MapSession {
     /// attach. Close such a session with CloseDetach, never CloseClean.
     /// Only the mutex+Atlas variants support attach: the lock-free
     /// variants' epoch reclamation is per-process volatile state, so a
-    /// cooperative join is rejected (OpenOrCreate fails).
+    /// cooperative join is rejected (OpenOrCreate fails). A map with
+    /// more lock stripes than the Atlas area has robust lock words is
+    /// refused too (FailedPrecondition): its stripes cannot arbitrate
+    /// across processes.
     bool attach = false;
   };
 

@@ -528,6 +528,72 @@ TEST_F(AtlasRecoveryTest, FreshObjectsInInterruptedOcsAreReclaimed) {
   EXPECT_EQ(report.reachable_objects, 1u);
 }
 
+// Root with two traced child pointers, for tests that need the GC to
+// tell a linked block from an unlinked one.
+struct LinkRoot {
+  static constexpr std::uint32_t kPersistentTypeId = 0x4C4E4B52;  // "LNKR"
+  void* children[2];
+};
+
+TEST_F(AtlasRecoveryTest, KillBetweenFastCommitAndItsFreesLeaksOnlyToGc) {
+  // A fast-path commit trims its ring in OnReleaseBegin (still holding
+  // the lock) and runs its deferred frees in OnReleaseFinish (after the
+  // unlock). A kill between the two must roll nothing back — the OCS is
+  // stable — and leave the unlinked block to the recovery GC.
+  {
+    auto heap = pheap::PersistentHeap::Create(file_->path(), Options(base_));
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    LinkRoot* root = (*heap)->New<LinkRoot>();
+    root->children[0] = (*heap)->Alloc(64);
+    root->children[1] = (*heap)->Alloc(64);
+    (*heap)->set_root(root);
+    AtlasRuntime::Options options;
+    options.prune_interval_us = 0;
+    auto runtime = std::make_unique<AtlasRuntime>(
+        heap->get(), PersistencePolicy::TspLogOnly(), options);
+    ASSERT_TRUE(runtime->Initialize().ok());
+    AtlasThread* thread = runtime->CurrentThread();
+
+    void* victim = root->children[1];
+    PLockWord word;
+    thread->OnAcquire(&word, 1);
+    thread->Store(&root->children[1], static_cast<void*>(nullptr));
+    thread->DeferFree(victim);
+    thread->OnReleaseBegin(&word, 1);
+    EXPECT_EQ(thread->local_stats().fast_path_commits, 1u);
+    EXPECT_EQ(pheap::Allocator::HeaderOf(victim)->magic,
+              pheap::BlockHeader::kAllocatedMagic)
+        << "frees run only in OnReleaseFinish";
+    // Crash: no OnReleaseFinish, no clean close.
+    runtime.reset();
+    heap->reset();
+  }
+  auto heap = pheap::PersistentHeap::Open(file_->path());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  ASSERT_TRUE((*heap)->needs_recovery());
+  pheap::TypeRegistry registry;
+  registry.Register<LinkRoot>(
+      "LinkRoot", [](const void* payload, const pheap::PointerVisitor& visit) {
+        for (void* child : static_cast<const LinkRoot*>(payload)->children) {
+          visit(child);
+        }
+      });
+  auto result = RecoverHeap(heap->get(), registry);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->atlas.ocses_incomplete, 0u);
+  EXPECT_EQ(result->atlas.ocses_cascaded, 0u);
+  EXPECT_EQ(result->atlas.stores_undone, 0u);
+  LinkRoot* root = (*heap)->root<LinkRoot>();
+  EXPECT_NE(root->children[0], nullptr);
+  EXPECT_EQ(root->children[1], nullptr) << "the committed unlink stands";
+  // Root plus the still-linked child; the unlinked one is reclaimed.
+  EXPECT_EQ(result->gc.live_objects, 2u);
+  const pheap::CheckReport report = pheap::CheckHeap(**heap, registry);
+  EXPECT_TRUE(report.ok) << report.ToString();
+  EXPECT_EQ(report.unaccounted_bytes, 0u) << "no leaked spans";
+  EXPECT_EQ(report.reachable_objects, 2u);
+}
+
 TEST_F(AtlasRecoveryTest, LogFlushModeRecoversIdentically) {
   // The flush policy changes failure-free cost, not recovery semantics.
   {

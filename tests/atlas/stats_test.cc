@@ -4,6 +4,7 @@
 
 #include "atlas/pmutex.h"
 #include "atlas/runtime.h"
+#include "pheap/allocator.h"
 #include "pheap/test_util.h"
 
 namespace tsp::atlas {
@@ -11,6 +12,11 @@ namespace {
 
 using pheap::testing::ScopedRegionFile;
 using pheap::testing::UniqueBaseAddress;
+
+bool IsFreed(const void* payload) {
+  return pheap::Allocator::HeaderOf(payload)->magic ==
+         pheap::BlockHeader::kFreeMagic;
+}
 
 class AtlasStatsTest : public ::testing::Test {
  protected:
@@ -113,6 +119,66 @@ TEST_F(AtlasStatsTest, CrossThreadDepsPublish) {
       << "alice has no deps and trims inline";
   EXPECT_EQ(runtime_->stability()->PendingCount(), 1u) << "bob pending";
   runtime_->StabilizeNow();
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+}
+
+TEST_F(AtlasStatsTest, FastPathCommitFreesDeferredBlocksAtCommit) {
+  // A dependency-free OCS that unlinks and defers a free still takes
+  // the fast path: it is stable at commit, so its guard's unlock runs
+  // the free — no pruner publication, no StabilizeNow.
+  constexpr std::uint64_t kOcses = 16;
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  PMutex mutex(runtime_.get());
+  AtlasThread* thread = runtime_->CurrentThread();
+  for (std::uint64_t i = 0; i < kOcses; ++i) {
+    void* block = heap_->Alloc(64);
+    ASSERT_NE(block, nullptr);
+    {
+      PMutexLock lock(&mutex);
+      thread->Store(value, i);
+      thread->DeferFree(block);
+      EXPECT_FALSE(IsFreed(block)) << "never freed inside the OCS";
+    }
+    EXPECT_TRUE(IsFreed(block)) << "OCS " << i << ": freed by its commit";
+  }
+  const AtlasRuntimeStats stats = runtime_->GetStats();
+  EXPECT_EQ(stats.ocses_committed, kOcses);
+  EXPECT_EQ(stats.fast_path_commits, kOcses);
+  EXPECT_EQ(stats.published_commits, 0u);
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+  runtime_->UnregisterCurrentThread();
+}
+
+TEST_F(AtlasStatsTest, PublishedCommitFreesDeferredBlocksOnlyWhenStable) {
+  // The slow-path counterpart: an OCS with an unstable dependency may
+  // still be rolled back by a cascade, so its deferred free waits in the
+  // StabilityManager until the dependee commits and a pass runs.
+  AtlasThread alice(runtime_.get(), 20);
+  AtlasThread bob(runtime_.get(), 21);
+  auto* value = static_cast<std::uint64_t*>(heap_->Alloc(8));
+  void* block = heap_->Alloc(64);
+  ASSERT_NE(block, nullptr);
+  PLockWord outer, shared;
+
+  alice.OnAcquire(&outer, 1);
+  alice.OnAcquire(&shared, 2);
+  alice.Store(value, std::uint64_t{1});
+  alice.OnRelease(&shared, 2);  // alice still open
+
+  bob.OnAcquire(&shared, 2);  // depends on alice's open OCS
+  bob.Store(value, std::uint64_t{2});
+  bob.DeferFree(block);
+  bob.OnRelease(&shared, 2);
+  EXPECT_EQ(bob.local_stats().published_commits, 1u);
+  EXPECT_FALSE(IsFreed(block)) << "bob can still cascade";
+  runtime_->StabilizeNow();
+  EXPECT_FALSE(IsFreed(block)) << "alice is still open";
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 1u);
+
+  alice.OnRelease(&outer, 1);
+  EXPECT_FALSE(IsFreed(block)) << "stability is the pruner's call";
+  runtime_->StabilizeNow();
+  EXPECT_TRUE(IsFreed(block));
   EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
 }
 

@@ -177,6 +177,59 @@ TEST_P(MutexHashMapTest, ConcurrentMixedWorkloadConservesSums) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kIncrements);
 }
 
+TEST_P(MutexHashMapTest, ReadMostlyMixNeverReachesThePruner) {
+  // 4 threads, 90% Get / 5% Put / 5% Remove over disjoint key
+  // partitions that share lock stripes. No OCS nests, so every commit
+  // is dependency-free and stable at commit (Removes' deferred frees
+  // included): each release vouches for its own stability, no acquirer
+  // records an edge, and nothing is ever published to the pruner.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeysPerThread = 512;
+  constexpr int kOpsPerThread = 20000;
+  for (std::uint64_t k = 0; k < kThreads * kKeysPerThread; ++k) {
+    map_->Put(k, k);
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t, &mismatches] {
+      const std::uint64_t first = t * kKeysPerThread;
+      std::map<std::uint64_t, std::uint64_t> model;
+      for (std::uint64_t k = first; k < first + kKeysPerThread; ++k) {
+        model[k] = k;
+      }
+      Random rng(static_cast<std::uint64_t>(t) + 31);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::uint64_t key = first + rng.Uniform(kKeysPerThread);
+        const std::uint64_t roll = rng.Uniform(100);
+        if (roll < 90) {
+          const auto it = model.find(key);
+          const auto got = map_->Get(key);
+          const bool agree = it == model.end() ? !got.has_value()
+                                               : got == it->second;
+          if (!agree) ++mismatches[t];
+        } else if (roll < 95) {
+          map_->Put(key, static_cast<std::uint64_t>(i));
+          model[key] = static_cast<std::uint64_t>(i);
+        } else if (map_->Remove(key) != (model.erase(key) > 0)) {
+          ++mismatches[t];
+        }
+      }
+      map_->OnThreadExit();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  if (runtime_ == nullptr) return;
+  const atlas::AtlasRuntimeStats stats = runtime_->GetStats();
+  EXPECT_EQ(stats.published_commits, 0u);
+  EXPECT_EQ(stats.deps_recorded, 0u);
+  EXPECT_EQ(stats.fast_path_commits, stats.ocses_committed);
+  EXPECT_EQ(runtime_->stability()->PendingCount(), 0u);
+}
+
 TEST_P(MutexHashMapTest, FlushBehaviorMatchesMode) {
   GlobalFlushStats().Reset();
   for (std::uint64_t i = 0; i < 200; ++i) map_->Put(i, i);
@@ -211,7 +264,23 @@ TEST_P(MutexHashMapTest, DataSurvivesCleanReopen) {
 
 TEST_P(MutexHashMapTest, GcKeepsMapReachableAndReclaimsRemoved) {
   for (std::uint64_t i = 0; i < 300; ++i) map_->Put(i, i);
+  std::vector<const void*> removed;
+  for (std::uint64_t b = 0; b < root_->buckets->bucket_count; ++b) {
+    for (const HashEntry* entry = root_->buckets->buckets[b];
+         entry != nullptr; entry = entry->next) {
+      if (entry->key % 3 == 0) removed.push_back(entry);
+    }
+  }
+  ASSERT_EQ(removed.size(), 100u);
   for (std::uint64_t i = 0; i < 300; i += 3) map_->Remove(i);
+  if (GetParam() == Mode::kLogOnly) {
+    // Single-threaded Removes commit on the fast path, which frees the
+    // unlinked entry at commit — the pruner never holds it.
+    for (const void* entry : removed) {
+      EXPECT_EQ(pheap::Allocator::HeaderOf(entry)->magic,
+                pheap::BlockHeader::kFreeMagic);
+    }
+  }
   if (runtime_ != nullptr) runtime_->StabilizeNow();  // apply deferred frees
   map_->OnThreadExit();
   const std::string path = file_->path();

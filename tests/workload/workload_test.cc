@@ -150,6 +150,43 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
   }
 }
 
+// An attacher shares the map's stripes with live peers, so every stripe
+// needs a robust lock word: attach works at exactly robust_lock_count()
+// stripes and is refused, naming both numbers, at one more. The owner
+// opens either map (an unbound stripe is correct in one process).
+TEST(MapSessionTest, AttachNeedsARobustWordPerStripe) {
+  constexpr std::uint64_t kBucketsPerLock = 4;
+  constexpr std::uint64_t kWords = atlas::kDefaultRobustLockCount;
+  for (const std::uint64_t stripes : {kWords, kWords + 1}) {
+    ScopedRegionFile file("robust_edge");
+    auto config = SmallConfig(MapVariant::kMutexLogOnly, file.path(), 0);
+    config.hash_options.bucket_count = stripes * kBucketsPerLock;
+    config.hash_options.buckets_per_lock = kBucketsPerLock;
+    {
+      auto owner = MapSession::OpenOrCreate(config);
+      ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+      ASSERT_EQ((*owner)->runtime()->robust_lock_count(), kWords);
+      (*owner)->map()->Put(1, 2);
+      (*owner)->CloseClean();
+    }
+    config.attach = true;
+    auto session = MapSession::OpenOrCreate(config);
+    if (stripes == kWords) {
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      EXPECT_EQ((*session)->map()->Get(1), 2u);
+      (*session)->CloseDetach();
+    } else {
+      ASSERT_FALSE(session.ok());
+      EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
+      const std::string message = session.status().ToString();
+      EXPECT_NE(message.find(std::to_string(kWords + 1)), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::to_string(kWords)), std::string::npos)
+          << message;
+    }
+  }
+}
+
 TEST(MapSessionTest, VariantNamesAreStable) {
   EXPECT_STREQ(MapVariantName(MapVariant::kMutexNative), "mutex-native");
   EXPECT_STREQ(MapVariantName(MapVariant::kMutexLogOnly),
