@@ -1,7 +1,6 @@
 #include "pheap/check.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 // Header-only use: pheap cannot link tsp_atlas (atlas depends on
 // pheap), so the undo-log checks below validate the area's magic and
@@ -9,6 +8,7 @@
 #include "atlas/log_layout.h"
 #include "common/process_id.h"
 #include "pheap/allocator.h"
+#include "pheap/granule_bitmap.h"
 #include "pheap/layout.h"
 
 namespace tsp::pheap {
@@ -149,7 +149,9 @@ CheckReport CheckHeap(const PersistentHeap& heap,
   }
 
   // --- reachability walk (mark without sweep) ---
-  std::unordered_set<std::uint64_t> visited;
+  // Covers every header offset an in-region payload can name, past the
+  // arena too, so such a pointer is still reported by the checks below.
+  GranuleBitmap visited(arena_start, region->size());
   std::vector<const void*> pending;
   const std::uint64_t root =
       header->root_offset.load(std::memory_order_relaxed);
@@ -169,7 +171,7 @@ CheckReport CheckHeap(const PersistentHeap& heap,
       continue;
     }
     const std::uint64_t block_offset = payload_offset - sizeof(BlockHeader);
-    if (!visited.insert(block_offset).second) continue;
+    if (!visited.Insert(block_offset)) continue;
     const auto* block =
         static_cast<const BlockHeader*>(region->FromOffset(block_offset));
     if (block->magic != BlockHeader::kAllocatedMagic) {

@@ -9,8 +9,22 @@
 // every object reachable from the heap root via registered trace
 // functions, and rebuilds the free lists from the unreachable gaps.
 //
+// Recovery time is mostly this pass, and mostly DRAM misses. Mark
+// keeps several of them in flight on one thread: each payload popped
+// off the mark stack has its header prefetched and waits in a
+// 16-entry FIFO, and the walk visits the oldest waiting one (buffered
+// prefetching), so even a chain's next link is loaded behind
+// independent work rather than on the critical path. Mark also caches
+// the last type-registry lookup, since objects come in runs of one
+// type. It records each live header as one bit per granule in a lazily
+// zeroed bitmap (granule_bitmap.h); the sweep reads the live blocks
+// back from it in address order, up to the highest set word, with no
+// sort, and carves each gap, lowest first, into the largest class
+// blocks that fit.
+//
 // Must run single-threaded, with no concurrent heap mutators (it is a
-// recovery/quiesced-state operation).
+// recovery/quiesced-state operation). GCs of different heaps may run at
+// once (atlas::RecoverHeapsParallel): all mark state is local to a call.
 
 #ifndef TSP_PHEAP_GC_H_
 #define TSP_PHEAP_GC_H_

@@ -108,6 +108,15 @@ Status MapSession::Init() {
         "per-process; use the mutex+Atlas variants for multi-process "
         "domains");
   }
+  if (config_.attach && config_.variant == MapVariant::kMutexNative) {
+    // No Atlas runtime, hence no robust lock words: a second process's
+    // stripe mutexes would exclude nothing across processes.
+    return Status::InvalidArgument(
+        std::string("variant ") + MapVariantName(config_.variant) +
+        " does not support attach: it has no Atlas runtime to arbitrate "
+        "locks across processes; use the mutex+Atlas variants for "
+        "multi-process domains");
+  }
   if (config_.shards > 1 && config_.base_address != 0) {
     return Status::InvalidArgument(
         "sharded sessions place every shard in its own address slot; "

@@ -86,11 +86,13 @@ class MapSession {
     /// recover it wholesale; dead peers are harvested per-slot at
     /// attach. Close such a session with CloseDetach, never CloseClean.
     /// Only the mutex+Atlas variants support attach: the lock-free
-    /// variants' epoch reclamation is per-process volatile state, so a
-    /// cooperative join is rejected (OpenOrCreate fails). A map with
-    /// more lock stripes than the Atlas area has robust lock words is
-    /// refused too (FailedPrecondition): its stripes cannot arbitrate
-    /// across processes.
+    /// variants' epoch reclamation is per-process volatile state, and
+    /// mutex-native has no Atlas runtime, hence no robust lock words to
+    /// exclude a peer process; either join is rejected (OpenOrCreate
+    /// fails with InvalidArgument). A map with more lock stripes than
+    /// the Atlas area has robust lock words is refused too
+    /// (FailedPrecondition): its stripes cannot arbitrate across
+    /// processes.
     bool attach = false;
   };
 

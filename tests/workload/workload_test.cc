@@ -150,6 +150,26 @@ TEST(MapSessionTest, AttachRejectedForLockFreeVariants) {
   }
 }
 
+// mutex-native has no Atlas runtime and so no robust lock words: an
+// attacher's stripe mutexes would exclude nothing across processes.
+// Attach is refused even when the native domain exists.
+TEST(MapSessionTest, AttachRejectedForNativeVariant) {
+  ScopedRegionFile file("native_attach");
+  auto config = SmallConfig(MapVariant::kMutexNative, file.path(), 0);
+  {
+    auto owner = MapSession::OpenOrCreate(config);
+    ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+    (*owner)->CloseClean();
+  }
+  config.attach = true;
+  auto session = MapSession::OpenOrCreate(config);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(session.status().ToString().find("does not support attach"),
+            std::string::npos)
+      << session.status().ToString();
+}
+
 // An attacher shares the map's stripes with live peers, so every stripe
 // needs a robust lock word: attach works at exactly robust_lock_count()
 // stripes and is refused, naming both numbers, at one more. The owner
