@@ -199,6 +199,7 @@ bool WriteJson(const std::string& json_path, const WorkloadOptions& workload,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"table1\",\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", tsp::bench::BuildType());
+  std::fprintf(f, "  \"nproc\": %ld,\n", sysconf(_SC_NPROCESSORS_ONLN));
   std::fprintf(f, "  \"threads\": %d,\n", workload.threads);
   std::fprintf(f, "  \"iterations_per_thread\": %llu,\n",
                static_cast<unsigned long long>(
@@ -441,9 +442,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   workload.iterations_per_thread));
   std::printf("(each iteration = 3 atomic map operations; flush insn: %s; "
-              "build: %s)\n",
+              "build: %s; nproc: %ld)\n",
               tsp::FlushInstructionName(tsp::BestFlushInstruction()),
-              tsp::bench::BuildType());
+              tsp::bench::BuildType(), sysconf(_SC_NPROCESSORS_ONLN));
 
   std::vector<RunSet> runs;
   for (const int shards : ParseShardList(shard_list)) {

@@ -2,6 +2,8 @@
 
 #include <cpuid.h>
 
+#include <bit>
+
 namespace tsp {
 namespace {
 
@@ -23,6 +25,24 @@ CpuFeatures DetectCpuFeatures() {
   }
   return f;
 }
+
+// Each live thread claims a shard of its own at its first flush or fence
+// and releases it when it exits; the counts stay in the shard. Past
+// kFlushShards live threads, the extra ones share the last shard: the
+// increments are atomic, so that costs contention but never exactness.
+constexpr int kFlushShards = 64;
+FlushCounterShard g_flush_shards[kFlushShards];
+std::atomic<std::uint64_t> g_claimed_shards{0};  // bit i: shard i owned
+
+struct ShardClaim {
+  int index;  // -1: no shard of its own
+  ~ShardClaim() {
+    if (index >= 0) {
+      g_claimed_shards.fetch_and(~(std::uint64_t{1} << index),
+                                 std::memory_order_relaxed);
+    }
+  }
+};
 
 const CpuFeatures& Features() {
   static const CpuFeatures features = DetectCpuFeatures();
@@ -63,6 +83,47 @@ const char* FlushInstructionName(FlushInstruction insn) {
       return "clwb";
   }
   return "unknown";
+}
+
+namespace internal {
+
+constinit thread_local FlushCounterShard* t_flush_shard = nullptr;
+
+FlushCounterShard* BindFlushShard() {
+  std::uint64_t claimed = g_claimed_shards.load(std::memory_order_relaxed);
+  int index = -1;
+  while (claimed != ~std::uint64_t{0}) {
+    const int bit = std::countr_one(claimed);
+    if (g_claimed_shards.compare_exchange_weak(
+            claimed, claimed | (std::uint64_t{1} << bit),
+            std::memory_order_relaxed)) {
+      index = bit;
+      break;
+    }
+  }
+  // Constructed once per thread; its destructor releases the claim at
+  // thread exit. t_flush_shard keeps pointing at the shard, so a flush
+  // from a later thread-exit destructor still counts exactly.
+  thread_local ShardClaim claim{index};
+  t_flush_shard = &g_flush_shards[index >= 0 ? index : kFlushShards - 1];
+  return t_flush_shard;
+}
+
+}  // namespace internal
+
+std::uint64_t FlushStats::Total::load() const {
+  std::uint64_t total = 0;
+  for (const FlushCounterShard& shard : g_flush_shards) {
+    total += (shard.*field_).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void FlushStats::Reset() {
+  for (FlushCounterShard& shard : g_flush_shards) {
+    shard.lines_flushed.store(0, std::memory_order_relaxed);
+    shard.fences.store(0, std::memory_order_relaxed);
+  }
 }
 
 FlushStats& GlobalFlushStats() {

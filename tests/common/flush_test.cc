@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 namespace tsp {
@@ -72,6 +75,68 @@ TEST(FlushTest, ZeroLengthRangeIsNoop) {
   alignas(64) char buf[64];
   FlushRange(buf, 0, FlushInstruction::kClflush);
   EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 0u);
+}
+
+// Each call flushes two lines and issues one fence.
+void FlushTwoLines(int calls) {
+  alignas(64) char buf[128] = {};
+  for (int i = 0; i < calls; ++i) {
+    FlushRange(buf, sizeof(buf), FlushInstruction::kClflush);
+  }
+}
+
+// Starts `threads` threads that all flush at once, then joins them.
+void FlushConcurrently(int threads, int calls) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&ready, threads, calls] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      FlushTwoLines(calls);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+}
+
+TEST(FlushStatsTest, ConcurrentTotalsAreExact) {
+  GlobalFlushStats().Reset();
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 20000;
+  FlushConcurrently(kThreads, kCalls);
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(),
+            std::uint64_t{2} * kThreads * kCalls);
+  EXPECT_EQ(GlobalFlushStats().fences.load(),
+            std::uint64_t{kThreads} * kCalls);
+}
+
+TEST(FlushStatsTest, ExitedThreadsKeepTheirCounts) {
+  GlobalFlushStats().Reset();
+  std::thread(FlushTwoLines, 100).join();
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 200u);
+  EXPECT_EQ(GlobalFlushStats().fences.load(), 100u);
+  // The next threads may claim the exited thread's shard; they add to
+  // its counts rather than replacing them.
+  FlushConcurrently(4, 50);
+  FlushTwoLines(1);
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 200u + 400u + 2u);
+  EXPECT_EQ(GlobalFlushStats().fences.load(), 100u + 200u + 1u);
+}
+
+TEST(FlushStatsTest, ResetAfterThreadsExitReadsZero) {
+  FlushConcurrently(4, 100);
+  ASSERT_GT(GlobalFlushStats().lines_flushed.load(), 0u);
+  GlobalFlushStats().Reset();
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 0u);
+  EXPECT_EQ(GlobalFlushStats().fences.load(), 0u);
+}
+
+TEST(FlushStatsTest, MoreLiveThreadsThanShardsStayExact) {
+  // 80 live threads outnumber the 64 shards, so some share one.
+  GlobalFlushStats().Reset();
+  FlushConcurrently(80, 200);
+  EXPECT_EQ(GlobalFlushStats().lines_flushed.load(), 80u * 200u * 2u);
+  EXPECT_EQ(GlobalFlushStats().fences.load(), 80u * 200u);
 }
 
 }  // namespace
