@@ -18,21 +18,19 @@
 //        --window N      live blocks per thread     (default 64)
 //        --json PATH     (default results/alloc.json; "" disables)
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "pheap/heap.h"
 
 namespace {
@@ -49,10 +47,10 @@ struct BenchConfig {
 };
 
 struct RunResult {
-  double mops = 0.0;          // millions of alloc+free pairs per second
-  std::uint64_t remote_frees = 0;
-  std::uint64_t magazine_allocs = 0;
-  std::uint64_t shared_allocs = 0;
+  double mops = 0.0;  // millions of alloc+free pairs per second
+  /// Registry snapshot taken while the heap was open: its alloc.*
+  /// counters (magazine and shared-path allocs, remote frees, ...).
+  tsp::obs::MetricsSnapshot metrics = {};
 };
 
 std::unique_ptr<PersistentHeap> MakeHeap(const std::string& path,
@@ -178,72 +176,27 @@ RunResult RunOne(const std::string& pattern, bool magazines, int threads,
                            std::chrono::steady_clock::now() - start)
                            .count();
 
-  const auto stats = heap->allocator()->GetStats();
   RunResult result;
   result.mops = static_cast<double>(threads) *
                 static_cast<double>(config.iters_per_thread) / elapsed /
                 1e6;
-  result.remote_frees = stats.remote_frees;
-  result.magazine_allocs = stats.magazine_allocs;
-  result.shared_allocs = stats.shared_allocs;
+  result.metrics = tsp::obs::DefaultRegistry().Snapshot();
   heap->CloseClean();
   heap.reset();
   unlink(path.c_str());
   return result;
 }
 
-bool WriteJson(const std::string& json_path, const BenchConfig& config,
-               const std::vector<std::string>& lines) {
-  const std::size_t slash = json_path.rfind('/');
-  if (slash != std::string::npos) {
-    const std::string dir = json_path.substr(0, slash);
-    if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                   std::strerror(errno));
-      return false;
-    }
-  }
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"build_type\": \"%s\",\n",
-               tsp::bench::BuildType());
-  std::fprintf(f, "  \"benchmark\": \"alloc\",\n");
-  std::fprintf(f, "  \"payload_bytes\": %llu,\n",
-               static_cast<unsigned long long>(kPayload));
-  std::fprintf(f, "  \"iterations_per_thread\": %llu,\n",
-               static_cast<unsigned long long>(config.iters_per_thread));
-  std::fprintf(f, "  \"window\": %llu,\n",
-               static_cast<unsigned long long>(config.window));
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::fprintf(f, "    %s%s\n", lines[i].c_str(),
-                 i + 1 < lines.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 std::string JsonLine(const std::string& pattern, int threads,
                      const RunResult& shared, const RunResult& magazine) {
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"pattern\": \"%s\", \"threads\": %d, \"shared_mops\": %.3f, "
-      "\"magazine_mops\": %.3f, \"speedup\": %.2f, "
-      "\"remote_frees\": %llu, \"magazine_allocs\": %llu, "
-      "\"shared_path_allocs\": %llu}",
-      pattern.c_str(), threads, shared.mops, magazine.mops,
-      magazine.mops / shared.mops,
-      static_cast<unsigned long long>(magazine.remote_frees),
-      static_cast<unsigned long long>(magazine.magazine_allocs),
-      static_cast<unsigned long long>(magazine.shared_allocs));
-  return buffer;
+  return tsp::bench::JsonObject()
+      .Str("pattern", pattern)
+      .Int("threads", threads)
+      .Num("shared_mops", shared.mops)
+      .Num("magazine_mops", magazine.mops)
+      .Num("speedup", magazine.mops / shared.mops)
+      .Raw("metrics", magazine.metrics.ToJson())
+      .str();
 }
 
 }  // namespace
@@ -279,13 +232,20 @@ int main(int argc, char** argv) {
       const RunResult magazine = RunOne(pattern, true, threads, config);
       std::printf("  %16s %8d %9.3f M %9.3f M %8.2fx %14llu\n", "", threads,
                   shared.mops, magazine.mops, magazine.mops / shared.mops,
-                  static_cast<unsigned long long>(magazine.remote_frees));
+                  static_cast<unsigned long long>(
+                      magazine.metrics.counter("alloc.remote_frees")));
       json_lines.push_back(JsonLine(pattern, threads, shared, magazine));
     }
     std::printf("\n");
   }
-  if (!json_path.empty() && WriteJson(json_path, config, json_lines)) {
-    std::printf("json results written to %s\n", json_path.c_str());
+  if (!json_path.empty()) {
+    tsp::bench::WriteJson(
+        json_path, "alloc",
+        tsp::bench::JsonObject()
+            .Int("payload_bytes", kPayload)
+            .Int("iterations_per_thread", config.iters_per_thread)
+            .Int("window", config.window)
+            .Raw("runs", tsp::bench::JsonArray(json_lines)));
   }
   return 0;
 }

@@ -19,13 +19,10 @@
 //        --max-overhead-pct P   (exit 1 if overhead exceeds P; <0 = off)
 // Both `--flag value` and `--flag=value` forms are accepted.
 
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_util.h"
@@ -82,51 +79,6 @@ void RunOnce(const WorkloadOptions& workload, bool traced, ArmResult* arm) {
   (*session)->CloseClean();
   session->reset();
   unlink(path.c_str());
-}
-
-bool WriteJson(const std::string& json_path, const WorkloadOptions& workload,
-               int reps, const ArmResult& off, const ArmResult& on,
-               double overhead_pct) {
-  const std::size_t slash = json_path.rfind('/');
-  if (slash != std::string::npos) {
-    const std::string dir = json_path.substr(0, slash);
-    if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                   std::strerror(errno));
-      return false;
-    }
-  }
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"build_type\": \"%s\",\n",
-               tsp::bench::BuildType());
-  std::fprintf(f, "  \"benchmark\": \"obs_overhead\",\n");
-  std::fprintf(f, "  \"threads\": %d,\n", workload.threads);
-  std::fprintf(f, "  \"iterations_per_thread\": %llu,\n",
-               static_cast<unsigned long long>(
-                   workload.iterations_per_thread));
-  std::fprintf(f, "  \"reps\": %d,\n", reps);
-  std::fprintf(f, "  \"obs_compiled_in\": %s,\n",
-#ifdef TSP_OBS_DISABLED
-               "false"
-#else
-               "true"
-#endif
-  );
-  std::fprintf(f, "  \"miters_recorder_off\": %.6f,\n", off.best_miters);
-  std::fprintf(f, "  \"miters_recorder_on\": %.6f,\n", on.best_miters);
-  std::fprintf(f, "  \"overhead_pct\": %.3f,\n", overhead_pct);
-  std::fprintf(f, "  \"events_recorded\": %llu,\n",
-               static_cast<unsigned long long>(on.events_recorded));
-  std::fprintf(f, "  \"metrics\": %s\n", on.metrics_json.c_str());
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace
@@ -187,19 +139,24 @@ int main(int argc, char** argv) {
               on.best_miters,
               static_cast<unsigned long long>(on.events_recorded));
   std::printf("  overhead:     %+9.2f%%  (budget: <=5%%)\n", overhead_pct);
-#ifdef TSP_OBS_DISABLED
-  std::printf("  [TSP_OBS=OFF build: both arms run without instrumentation]\n");
-#else
   if (on.events_recorded == 0) {
     std::fprintf(stderr, "traced arm recorded no events — recorder did not "
                          "attach (runtime area too small?)\n");
     return 1;
   }
-#endif
 
-  if (!json_path.empty() &&
-      WriteJson(json_path, workload, reps, off, on, overhead_pct)) {
-    std::printf("json results written to %s\n", json_path.c_str());
+  if (!json_path.empty()) {
+    tsp::bench::WriteJson(
+        json_path, "obs_overhead",
+        tsp::bench::JsonObject()
+            .Int("threads", workload.threads)
+            .Int("iterations_per_thread", workload.iterations_per_thread)
+            .Int("reps", reps)
+            .Num("miters_recorder_off", off.best_miters)
+            .Num("miters_recorder_on", on.best_miters)
+            .Num("overhead_pct", overhead_pct)
+            .Int("events_recorded", on.events_recorded)
+            .Raw("metrics", on.metrics_json));
   }
   if (max_overhead_pct >= 0 && overhead_pct > max_overhead_pct) {
     std::fprintf(stderr, "overhead %.2f%% exceeds the %.2f%% gate\n",

@@ -4,13 +4,8 @@
 // (std::map and std::unordered_map under a mutex) are included — the
 // persistent skip list competes with them despite being crash-proof.
 //
-// `--sweep [results/skiplist.json]` switches to a thread-sweep of the
-// §5.1 map workload comparing the lock-free variants against
-// mutex-atlas-log-only, writing machine-readable JSON for the CI
-// bench-smoke gate. The gate itself (lock-free >= log-only at the top
-// thread count) is warn-only: on a time-sliced single-core runner the
-// comparison is noise, so the bench prints a WARNING instead of
-// failing.
+// The thread scaling of the lock-free variants on the §5.1 map workload
+// is bench_table1 run at each --threads count (E8b).
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -21,19 +16,11 @@
 #include <string>
 #include <unordered_map>
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-#include <vector>
-
 #include "bench_util.h"
 #include "common/flush.h"
 #include "common/random.h"
 #include "lockfree/skiplist.h"
 #include "pheap/heap.h"
-#include "workload/map_session.h"
-#include "workload/workload.h"
 
 namespace {
 
@@ -142,139 +129,9 @@ void BM_StdUnorderedMapMutexIncrement(benchmark::State& state) {
 }
 BENCHMARK(BM_StdUnorderedMapMutexIncrement);
 
-struct SweepPoint {
-  const char* variant;
-  int threads;
-  double miters;
-};
-
-double RunSweepPoint(tsp::workload::MapVariant variant, int threads) {
-  using tsp::workload::MapSession;
-  const std::string path =
-      "/dev/shm/tsp_skipsweep_" + std::to_string(getpid()) + ".heap";
-  MapSession::Config config;
-  config.variant = variant;
-  config.path = path;
-  config.heap_size = 1024u << 20;
-  config.runtime_area_size = 64u << 20;
-  config.hash_options.bucket_count = 1 << 20;
-  for (const std::string& p : MapSession::ShardPaths(config)) {
-    unlink(p.c_str());
-  }
-  auto session = MapSession::OpenOrCreate(config);
-  if (!session.ok()) {
-    std::fprintf(stderr, "session failed: %s\n",
-                 session.status().ToString().c_str());
-    std::exit(1);
-  }
-  tsp::workload::WorkloadOptions workload;
-  workload.threads = threads;
-  workload.iterations_per_thread = 120000;
-  workload.high_range = 1 << 20;
-  const tsp::workload::WorkloadResult result =
-      tsp::workload::RunMapWorkload((*session)->map(), workload);
-  (*session)->CloseClean();
-  session->reset();
-  for (const std::string& p : MapSession::ShardPaths(config)) {
-    unlink(p.c_str());
-  }
-  return result.millions_iter_per_sec;
-}
-
-int RunSweep(const std::string& json_path) {
-  using tsp::workload::MapVariant;
-  const struct {
-    const char* name;
-    MapVariant variant;
-  } kVariants[] = {
-      {"mutex-atlas-log-only", MapVariant::kMutexLogOnly},
-      {"lockfree-skiplist", MapVariant::kLockFreeSkipList},
-      {"lockfree-skiplist-sharded", MapVariant::kLockFreeSkipListSharded},
-      {"lockfree-hashmap", MapVariant::kLockFreeHashMap},
-  };
-  const int kThreads[] = {1, 2, 4, 8};
-  std::printf("skip list thread sweep (build: %s)\n",
-              tsp::bench::BuildType());
-  std::printf("  %-28s %8s %12s\n", "variant", "threads", "Miter/s");
-  std::vector<SweepPoint> points;
-  for (const auto& v : kVariants) {
-    for (const int threads : kThreads) {
-      const double miters = RunSweepPoint(v.variant, threads);
-      points.push_back({v.name, threads, miters});
-      std::printf("  %-28s %8d %12.3f\n", v.name, threads, miters);
-    }
-  }
-
-  // Warn-only gate: at the top thread count, the non-blocking designs
-  // should not lose to the logged mutex variant. On a time-sliced
-  // single-core runner this is noisy, so warn instead of failing.
-  double log_only_top = 0, best_lockfree_top = 0;
-  const char* best_name = "";
-  for (const SweepPoint& p : points) {
-    if (p.threads != 8) continue;
-    if (std::string(p.variant) == "mutex-atlas-log-only") {
-      log_only_top = p.miters;
-    } else if (p.miters > best_lockfree_top) {
-      best_lockfree_top = p.miters;
-      best_name = p.variant;
-    }
-  }
-  if (best_lockfree_top < log_only_top) {
-    std::printf("WARNING: best lock-free variant (%s, %.3f Miter/s) is "
-                "below mutex-atlas-log-only (%.3f Miter/s) at 8 threads\n",
-                best_name, best_lockfree_top, log_only_top);
-  } else {
-    std::printf("gate: %s %.3f >= mutex-atlas-log-only %.3f Miter/s at "
-                "8 threads\n",
-                best_name, best_lockfree_top, log_only_top);
-  }
-
-  if (json_path.empty()) return 0;
-  const std::size_t slash = json_path.rfind('/');
-  if (slash != std::string::npos) {
-    const std::string dir = json_path.substr(0, slash);
-    if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                   std::strerror(errno));
-      return 1;
-    }
-  }
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"skiplist_sweep\",\n");
-  std::fprintf(f, "  \"build_type\": \"%s\",\n",
-               tsp::bench::BuildType());
-  std::fprintf(f, "  \"gate_warn_only\": true,\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"variant\": \"%s\", \"threads\": %d, "
-                 "\"miters_per_sec\": %.6f}%s\n",
-                 points[i].variant, points[i].threads, points[i].miters,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("json results written to %s\n", json_path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--sweep") {
-      const std::string json_path =
-          i + 1 < argc ? argv[i + 1] : "results/skiplist.json";
-      return RunSweep(json_path);
-    }
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("build_type", tsp::bench::BuildType());

@@ -19,9 +19,11 @@
 // overhead. The JSON output carries one entry per shard count in
 // "runs".
 //
-// Besides the text table, the run is dumped as machine-readable JSON
-// (per-variant throughput, flush and sequence-lease counters, derived
-// percentages, shape verdict) for the plotting/CI tooling.
+// Besides the text table, the run is dumped as JSON through the shared
+// bench emitter: per variant its throughput plus the metrics registry
+// snapshot (Atlas, allocator, epoch and flush counters, summed across
+// shard heaps), then the derived percentages and the shape verdict.
+// A thread sweep is a shell loop over --threads.
 //
 // Flags: --threads N    (default 8, as in the paper)
 //        --iters N      (per thread, default 150000)
@@ -42,17 +44,13 @@
 //        --kills N      (SIGKILLs in the --procs drill; default 3N)
 // Both `--flag value` and `--flag=value` forms are accepted.
 
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "atlas/runtime.h"
 #include "bench_util.h"
 #include "common/flush.h"
 #include "faultsim/crash_harness.h"
@@ -62,33 +60,23 @@
 
 namespace {
 
-using tsp::atlas::AtlasRuntimeStats;
+using tsp::bench::JsonArray;
+using tsp::bench::JsonObject;
+using tsp::obs::MetricsSnapshot;
 using tsp::workload::MapSession;
 using tsp::workload::MapVariant;
 using tsp::workload::MapVariantName;
 using tsp::workload::RunMapWorkload;
 using tsp::workload::WorkloadOptions;
-using tsp::workload::WorkloadResult;
 
 struct Row {
   const char* label;
   MapVariant variant;
   double miters = 0;
-  std::uint64_t lines_flushed = 0;
-  std::uint64_t fences = 0;
-  /// Atlas counters; all zero for the unlogged variants. Summed across
-  /// shard runtimes in sharded runs.
-  AtlasRuntimeStats atlas = {};
-  /// Allocator magazine counters (summed across shard heaps): how much
-  /// of the allocation traffic stayed on thread-local magazines vs the
-  /// shared CAS lines, and how much crossed threads via the remote-free
-  /// inboxes.
-  std::uint64_t magazine_allocs = 0;
-  std::uint64_t shared_allocs = 0;
-  std::uint64_t remote_frees = 0;
-  /// Unified metrics registry snapshot taken while the variant's session
-  /// was still open (the pull sources unregister at close). Already JSON.
-  std::string metrics_json = "{}";
+  /// Registry snapshot taken while the variant's session was still open
+  /// (the pull sources unregister at close). Same-named counters of the
+  /// shard runtimes and heaps are summed.
+  MetricsSnapshot metrics = {};
 };
 
 /// One full table at a given shard count: the paper's four variants
@@ -108,12 +96,18 @@ struct RunSet {
   double native() const { return rows[0].miters; }
   double log_only() const { return rows[1].miters; }
   double log_flush() const { return rows[2].miters; }
+  double log_only_overhead_pct() const {
+    return (1 - log_only() / native()) * 100;
+  }
+  double log_flush_overhead_pct() const {
+    return (1 - log_flush() / native()) * 100;
+  }
+  double tsp_gain_pct() const { return (log_only() / log_flush() - 1) * 100; }
   bool shape_holds() const {
     return native() > log_only() && log_only() > log_flush();
   }
 };
 
-constexpr std::size_t kRowCount = 6;
 constexpr std::uint64_t kTotalArenaBytes = 1536ULL * 1024 * 1024;
 
 void RunVariant(const WorkloadOptions& workload, int shards, Row* row) {
@@ -144,31 +138,9 @@ void RunVariant(const WorkloadOptions& workload, int shards, Row* row) {
 
   tsp::GlobalFlushStats().Reset();
   tsp::obs::DefaultRegistry().ResetOwned();
-  const WorkloadResult result =
-      RunMapWorkload((*session)->map(), workload);
-  row->miters = result.millions_iter_per_sec;
-  row->lines_flushed = tsp::GlobalFlushStats().lines_flushed.load();
-  row->fences = tsp::GlobalFlushStats().fences.load();
-  for (int s = 0; s < (*session)->shard_count(); ++s) {
-    const tsp::pheap::AllocatorStats alloc_stats =
-        (*session)->heap(s)->GetAllocatorStats();
-    row->magazine_allocs += alloc_stats.magazine_allocs;
-    row->shared_allocs += alloc_stats.shared_allocs;
-    row->remote_frees += alloc_stats.remote_frees;
-    if ((*session)->runtime(s) == nullptr) continue;
-    const AtlasRuntimeStats stats = (*session)->runtime(s)->GetStats();
-    row->atlas.undo_records += stats.undo_records;
-    row->atlas.seq_blocks_leased += stats.seq_blocks_leased;
-    row->atlas.seq_resyncs += stats.seq_resyncs;
-    row->atlas.batched_publishes += stats.batched_publishes;
-    row->atlas.elided_fresh += stats.elided_fresh;
-    row->atlas.range_records += stats.range_records;
-    row->atlas.line_dedup_hits += stats.line_dedup_hits;
-    row->atlas.flit_repeat_hits += stats.flit_repeat_hits;
-    row->atlas.flit_rearms += stats.flit_rearms;
-    row->atlas.addrset_shrinks += stats.addrset_shrinks;
-  }
-  row->metrics_json = tsp::obs::DefaultRegistry().Snapshot().ToJson();
+  row->miters =
+      RunMapWorkload((*session)->map(), workload).millions_iter_per_sec;
+  row->metrics = tsp::obs::DefaultRegistry().Snapshot();
 
   (*session)->CloseClean();
   session->reset();
@@ -177,106 +149,38 @@ void RunVariant(const WorkloadOptions& workload, int shards, Row* row) {
   }
 }
 
-/// Writes results as JSON. No dependency-free JSON library in-tree, and
-/// the structure is flat, so emit it by hand.
-bool WriteJson(const std::string& json_path, const WorkloadOptions& workload,
+void WriteJson(const std::string& json_path, const WorkloadOptions& workload,
                const std::vector<RunSet>& runs) {
-  const std::size_t slash = json_path.rfind('/');
-  if (slash != std::string::npos) {
-    const std::string dir = json_path.substr(0, slash);
-    if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                   std::strerror(errno));
-      return false;
+  std::vector<std::string> run_records;
+  for (const RunSet& run : runs) {
+    std::vector<std::string> variants;
+    for (const Row& row : run.rows) {
+      variants.push_back(JsonObject()
+                             .Str("variant", MapVariantName(row.variant))
+                             .Str("label", row.label)
+                             .Num("miters_per_sec", row.miters)
+                             .Raw("metrics", row.metrics.ToJson())
+                             .str());
     }
+    const JsonObject derived =
+        JsonObject()
+            .Num("log_only_overhead_pct", run.log_only_overhead_pct())
+            .Num("log_flush_overhead_pct", run.log_flush_overhead_pct())
+            .Num("tsp_gain_pct", run.tsp_gain_pct());
+    run_records.push_back(JsonObject()
+                              .Int("shards", run.shards)
+                              .Raw("variants", JsonArray(variants))
+                              .Raw("derived", derived.str())
+                              .Bool("shape_holds", run.shape_holds())
+                              .str());
   }
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"table1\",\n");
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", tsp::bench::BuildType());
-  std::fprintf(f, "  \"nproc\": %ld,\n", sysconf(_SC_NPROCESSORS_ONLN));
-  std::fprintf(f, "  \"threads\": %d,\n", workload.threads);
-  std::fprintf(f, "  \"iterations_per_thread\": %llu,\n",
-               static_cast<unsigned long long>(
-                   workload.iterations_per_thread));
-  std::fprintf(f, "  \"high_range\": %llu,\n",
-               static_cast<unsigned long long>(workload.high_range));
-  std::fprintf(f, "  \"flush_instruction\": \"%s\",\n",
-               tsp::FlushInstructionName(tsp::BestFlushInstruction()));
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const RunSet& run = runs[r];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"shards\": %d,\n", run.shards);
-    std::fprintf(f, "      \"variants\": [\n");
-    for (std::size_t i = 0; i < kRowCount; ++i) {
-      const Row& row = run.rows[i];
-      std::fprintf(f, "        {\n");
-      std::fprintf(f, "          \"variant\": \"%s\",\n",
-                   MapVariantName(row.variant));
-      std::fprintf(f, "          \"label\": \"%s\",\n", row.label);
-      std::fprintf(f, "          \"miters_per_sec\": %.6f,\n", row.miters);
-      std::fprintf(f, "          \"lines_flushed\": %llu,\n",
-                   static_cast<unsigned long long>(row.lines_flushed));
-      std::fprintf(f, "          \"fences\": %llu,\n",
-                   static_cast<unsigned long long>(row.fences));
-      std::fprintf(f, "          \"undo_records\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.undo_records));
-      std::fprintf(f, "          \"seq_blocks_leased\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.seq_blocks_leased));
-      std::fprintf(f, "          \"seq_resyncs\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.seq_resyncs));
-      std::fprintf(f, "          \"batched_publishes\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.batched_publishes));
-      std::fprintf(f, "          \"elided_fresh\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.elided_fresh));
-      std::fprintf(f, "          \"range_records\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.range_records));
-      std::fprintf(f, "          \"line_dedup_hits\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.line_dedup_hits));
-      std::fprintf(f, "          \"flit_repeat_hits\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.flit_repeat_hits));
-      std::fprintf(f, "          \"flit_rearms\": %llu,\n",
-                   static_cast<unsigned long long>(row.atlas.flit_rearms));
-      std::fprintf(f, "          \"addrset_shrinks\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       row.atlas.addrset_shrinks));
-      std::fprintf(f, "          \"magazine_allocs\": %llu,\n",
-                   static_cast<unsigned long long>(row.magazine_allocs));
-      std::fprintf(f, "          \"shared_allocs\": %llu,\n",
-                   static_cast<unsigned long long>(row.shared_allocs));
-      std::fprintf(f, "          \"remote_frees\": %llu,\n",
-                   static_cast<unsigned long long>(row.remote_frees));
-      std::fprintf(f, "          \"metrics\": %s\n",
-                   row.metrics_json.c_str());
-      std::fprintf(f, "        }%s\n", i + 1 < kRowCount ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
-    std::fprintf(f, "      \"derived\": {\n");
-    std::fprintf(f, "        \"log_only_overhead_pct\": %.2f,\n",
-                 (1 - run.log_only() / run.native()) * 100);
-    std::fprintf(f, "        \"log_flush_overhead_pct\": %.2f,\n",
-                 (1 - run.log_flush() / run.native()) * 100);
-    std::fprintf(f, "        \"tsp_gain_pct\": %.2f\n",
-                 (run.log_only() / run.log_flush() - 1) * 100);
-    std::fprintf(f, "      },\n");
-    std::fprintf(f, "      \"shape_holds\": %s\n",
-                 run.shape_holds() ? "true" : "false");
-    std::fprintf(f, "    }%s\n", r + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  tsp::bench::WriteJson(
+      json_path, "table1",
+      JsonObject()
+          .Int("threads", workload.threads)
+          .Int("iterations_per_thread", workload.iterations_per_thread)
+          .Int("high_range", workload.high_range)
+          .Raw("runs", JsonArray(run_records)));
 }
 
 /// E14: the multi-process kill drill. N workers attach one log-only
@@ -313,51 +217,27 @@ int RunMproc(int procs, int kills, int shards,
   }
 
   if (!json_path.empty()) {
-    const std::size_t slash = json_path.rfind('/');
-    if (slash != std::string::npos) {
-      const std::string dir = json_path.substr(0, slash);
-      if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 &&
-          errno != EEXIST) {
-        std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                     std::strerror(errno));
-        return 1;
-      }
-    }
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
-                   std::strerror(errno));
+    const JsonObject atlas =
+        JsonObject()
+            .Int("robust_steals", report.robust_steals)
+            .Int("dead_owner_rollbacks", report.dead_owner_rollbacks)
+            .Int("slots_harvested", report.slots_harvested)
+            .Int("nested_release_hazards", report.nested_release_hazards);
+    if (!tsp::bench::WriteJson(
+            json_path, "mproc",
+            JsonObject()
+                .Int("procs", options.workers)
+                .Int("threads_per_proc", options.workload.threads)
+                .Int("shards", shards)
+                .Int("kills", report.kills_delivered)
+                .Int("workers_spawned", report.workers_spawned)
+                .Raw("atlas", atlas.str())
+                .Int("wedged_locks", report.wedged_locks)
+                .Int("completed_iterations",
+                     report.final_completed_iterations)
+                .Bool("all_ok", report.all_ok))) {
       return 1;
     }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"mproc\",\n");
-    std::fprintf(f, "  \"procs\": %d,\n", options.workers);
-    std::fprintf(f, "  \"threads_per_proc\": %d,\n",
-                 options.workload.threads);
-    std::fprintf(f, "  \"shards\": %d,\n", shards);
-    std::fprintf(f, "  \"kills\": %d,\n", report.kills_delivered);
-    std::fprintf(f, "  \"workers_spawned\": %d,\n", report.workers_spawned);
-    std::fprintf(f, "  \"atlas\": {\n");
-    std::fprintf(f, "    \"robust_steals\": %llu,\n",
-                 static_cast<unsigned long long>(report.robust_steals));
-    std::fprintf(f, "    \"dead_owner_rollbacks\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     report.dead_owner_rollbacks));
-    std::fprintf(f, "    \"slots_harvested\": %llu,\n",
-                 static_cast<unsigned long long>(report.slots_harvested));
-    std::fprintf(f, "    \"nested_release_hazards\": %llu\n",
-                 static_cast<unsigned long long>(
-                     report.nested_release_hazards));
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"wedged_locks\": %llu,\n",
-                 static_cast<unsigned long long>(report.wedged_locks));
-    std::fprintf(f, "  \"completed_iterations\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     report.final_completed_iterations));
-    std::fprintf(f, "  \"all_ok\": %s\n", report.all_ok ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("json results written to %s\n", json_path.c_str());
   }
   return report.all_ok ? 0 : 1;
 }
@@ -457,47 +337,53 @@ int main(int argc, char** argv) {
                 "lines flushed", "seq leases", "resyncs", "mag allocs");
     for (Row& row : run.rows) {
       RunVariant(workload, shards, &row);
+      const MetricsSnapshot& m = row.metrics;
       std::printf("  %-26s %14.3f %16llu %14llu %12llu %14llu\n", row.label,
                   row.miters,
-                  static_cast<unsigned long long>(row.lines_flushed),
-                  static_cast<unsigned long long>(row.atlas.seq_blocks_leased),
-                  static_cast<unsigned long long>(row.atlas.seq_resyncs),
-                  static_cast<unsigned long long>(row.magazine_allocs));
+                  static_cast<unsigned long long>(
+                      m.counter("flush.lines_flushed")),
+                  static_cast<unsigned long long>(
+                      m.counter("atlas.seq_blocks_leased")),
+                  static_cast<unsigned long long>(
+                      m.counter("atlas.seq_resyncs")),
+                  static_cast<unsigned long long>(
+                      m.counter("alloc.magazine_allocs")));
     }
-    const Row& logged = run.rows[1];
+    const MetricsSnapshot& logged = run.rows[1].metrics;
     std::printf("\nUndo-log diet (log-only run): %llu ring records "
                 "(%llu ranges), %llu slot arms, %llu fresh-store elisions, "
                 "%llu line-dedup hits\n",
-                static_cast<unsigned long long>(logged.atlas.undo_records),
-                static_cast<unsigned long long>(logged.atlas.range_records),
-                static_cast<unsigned long long>(logged.atlas.flit_rearms),
-                static_cast<unsigned long long>(logged.atlas.elided_fresh),
                 static_cast<unsigned long long>(
-                    logged.atlas.line_dedup_hits));
+                    logged.counter("atlas.undo_records")),
+                static_cast<unsigned long long>(
+                    logged.counter("atlas.range_records")),
+                static_cast<unsigned long long>(
+                    logged.counter("atlas.flit_rearms")),
+                static_cast<unsigned long long>(
+                    logged.counter("atlas.elided_fresh")),
+                static_cast<unsigned long long>(
+                    logged.counter("atlas.line_dedup_hits")));
     std::printf("\nDerived (paper §5.2 reports desktop/server):\n");
     std::printf("  Atlas log-only overhead vs native:   %5.1f%%  "
                 "(paper: ~35%% / ~30%%)\n",
-                (1 - run.log_only() / run.native()) * 100);
+                run.log_only_overhead_pct());
     std::printf("  Atlas log+flush overhead vs native:  %5.1f%%  "
                 "(paper: ~57%% / ~50%%)\n",
-                (1 - run.log_flush() / run.native()) * 100);
+                run.log_flush_overhead_pct());
     std::printf("  TSP gain (log-only vs log+flush):    %5.1f%%  "
                 "(paper: +49%% / +42%%)\n",
-                (run.log_only() / run.log_flush() - 1) * 100);
+                run.tsp_gain_pct());
     std::printf("\nshape check (native > log-only > log+flush): %s\n",
                 run.shape_holds() ? "HOLDS" : "VIOLATED");
     runs.push_back(run);
   }
 
-  if (!json_path.empty() && WriteJson(json_path, workload, runs)) {
-    std::printf("json results written to %s\n", json_path.c_str());
-  }
+  if (!json_path.empty()) WriteJson(json_path, workload, runs);
   // Gate on the canonical single-heap run; sharded runs are reported
   // but their shape depends on core count.
   const RunSet& canonical = runs.front();
   if (max_log_overhead_pct > 0) {
-    const double overhead =
-        (1 - canonical.log_only() / canonical.native()) * 100;
+    const double overhead = canonical.log_only_overhead_pct();
     if (overhead > max_log_overhead_pct) {
       std::fprintf(stderr,
                    "FAIL: log-only overhead %.1f%% exceeds the "

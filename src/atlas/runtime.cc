@@ -36,13 +36,11 @@ AtlasRuntime::AtlasRuntime(pheap::PersistentHeap* heap,
       instance_id_(g_next_instance_id.fetch_add(1)) {}
 
 AtlasRuntime::~AtlasRuntime() {
-#ifndef TSP_OBS_DISABLED
   // First: a metrics snapshot taken during teardown must not call back
   // into a half-destroyed runtime.
   if (metrics_source_id_ != 0) {
     obs::DefaultRegistry().UnregisterSource(metrics_source_id_);
   }
-#endif
   pruner_stop_.store(true, std::memory_order_release);
   if (pruner_.joinable()) pruner_.join();
   // Stale TLS bindings stay behind; they are keyed by instance id and
@@ -145,7 +143,6 @@ void AtlasRuntime::FinishSetup() {
   stability_ = std::make_unique<StabilityManager>(
       area_, area_.max_threads(), [this](void* p) { heap_->Free(p); });
   initialized_ = true;
-#ifndef TSP_OBS_DISABLED
   metrics_source_id_ = obs::DefaultRegistry().RegisterSource(
       [this](obs::SnapshotBuilder* builder) {
         const AtlasRuntimeStats stats = GetStats();
@@ -181,7 +178,6 @@ void AtlasRuntime::FinishSetup() {
         builder->AddCounter("atlas.nested_release_hazards",
                             stats.nested_release_hazards);
       });
-#endif
   if (policy_.logging_enabled() && options_.prune_interval_us > 0) {
     pruner_ = std::thread([this] { PrunerMain(); });
   }

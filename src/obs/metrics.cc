@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/findings.h"
+#include "common/flush.h"
 
 namespace tsp {
 namespace obs {
@@ -128,6 +129,14 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   // Sources run outside the registry lock: a source is free to call back
   // into GetCounter etc. without deadlocking.
   for (const Source& source : sources) source(&builder);
+  // The default registry also reports the process-wide flush and fence
+  // totals, so the persistence cost is read from the same snapshot as
+  // every other layer's counters.
+  if (this == &DefaultRegistry()) {
+    builder.AddCounter("flush.lines_flushed",
+                       GlobalFlushStats().lines_flushed.load());
+    builder.AddCounter("flush.fences", GlobalFlushStats().fences.load());
+  }
   return snapshot;
 }
 

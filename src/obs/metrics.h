@@ -12,8 +12,9 @@
 //    register a callback that folds them in at snapshot time, so the hot
 //    path stays contention-free.
 //
-// Building with -DTSP_OBS=OFF compiles the macros to no-ops; the registry
-// itself stays linkable so tools degrade to empty snapshots.
+// Every DefaultRegistry() snapshot also carries the process-wide flush
+// and fence totals (GlobalFlushStats) as "flush.lines_flushed" and
+// "flush.fences".
 
 #ifndef TSP_OBS_METRICS_H_
 #define TSP_OBS_METRICS_H_
@@ -171,8 +172,6 @@ class ScopedPhaseTimer {
 }  // namespace obs
 }  // namespace tsp
 
-#ifndef TSP_OBS_DISABLED
-
 /// Statement macros against the default registry. The name is resolved to
 /// a metric object once per call site (function-local static reference).
 #define TSP_COUNTER_ADD(name, n)                                    \
@@ -203,28 +202,5 @@ class ScopedPhaseTimer {
     ::tsp::obs::TraceWriter* _tsp_writer = (writer_ptr);            \
     if (_tsp_writer != nullptr) _tsp_writer->Emit(__VA_ARGS__);     \
   } while (false)
-
-#else  // TSP_OBS_DISABLED
-
-#define TSP_COUNTER_ADD(name, n) \
-  do {                           \
-  } while (false)
-#define TSP_COUNTER_INC(name) \
-  do {                        \
-  } while (false)
-#define TSP_GAUGE_SET(name, v) \
-  do {                         \
-  } while (false)
-#define TSP_HISTOGRAM_OBSERVE(name, v) \
-  do {                                 \
-  } while (false)
-#define TSP_SCOPED_PHASE_US(var, name) \
-  do {                                 \
-  } while (false)
-#define TSP_TRACE_EVENT(writer_ptr, ...) \
-  do {                                   \
-  } while (false)
-
-#endif  // TSP_OBS_DISABLED
 
 #endif  // TSP_OBS_METRICS_H_

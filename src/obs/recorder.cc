@@ -82,12 +82,6 @@ void SetTraceEnabled(bool enabled) {
 std::unique_ptr<Recorder> Recorder::Attach(void* runtime_area,
                                            std::size_t runtime_area_size,
                                            const AttachOptions& options) {
-#ifdef TSP_OBS_DISABLED
-  (void)runtime_area;
-  (void)runtime_area_size;
-  (void)options;
-  return nullptr;
-#else
   if (!TraceEnabled() || runtime_area == nullptr) return nullptr;
   const std::size_t reservation = TraceReservationBytes(runtime_area_size);
   if (reservation == 0) return nullptr;
@@ -121,7 +115,6 @@ std::unique_ptr<Recorder> Recorder::Attach(void* runtime_area,
   }
   return std::unique_ptr<Recorder>(
       new Recorder(area, options.generation, options.shared));
-#endif
 }
 
 Recorder::Recorder(TraceArea area, std::uint64_t generation, bool shared)

@@ -7,11 +7,9 @@
 // tail — no CAS, no flush, no syscall — so it is cheap enough to leave on
 // in the Atlas OCS hot path (bench_obs guards the ≤5% budget).
 //
-// Compile-time kill switch: building with -DTSP_OBS=OFF defines
-// TSP_OBS_DISABLED and Attach() collapses to `return nullptr`, so every
-// TSP_TRACE_EVENT site dissolves into a null-check against a pointer that
-// is provably null. Runtime switch: TSP_TRACE=0 (or SetTraceEnabled(false))
-// makes Attach() return nullptr as well.
+// Kill switch: TSP_TRACE=0 (or SetTraceEnabled(false)) makes Attach()
+// return nullptr, so every TSP_TRACE_EVENT site is a null-check that
+// never fires.
 
 #ifndef TSP_OBS_RECORDER_H_
 #define TSP_OBS_RECORDER_H_

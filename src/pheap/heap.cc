@@ -23,7 +23,6 @@ PersistentHeap::PersistentHeap(std::unique_ptr<MappedRegion> region)
                                       options);
     allocator_.set_recorder(recorder_.get());
   }
-#ifndef TSP_OBS_DISABLED
   // Pull source: folds the allocator's per-thread stats into registry
   // snapshots without adding shared counters to the allocation fast path.
   metrics_source_id_ = obs::DefaultRegistry().RegisterSource(
@@ -43,15 +42,12 @@ PersistentHeap::PersistentHeap(std::unique_ptr<MappedRegion> region)
         builder->AddCounter("alloc.batch_pop_retries",
                             stats.batch_pop_retries);
       });
-#endif
 }
 
 PersistentHeap::~PersistentHeap() {
-#ifndef TSP_OBS_DISABLED
   if (metrics_source_id_ != 0) {
     obs::DefaultRegistry().UnregisterSource(metrics_source_id_);
   }
-#endif
 }
 
 StatusOr<std::unique_ptr<PersistentHeap>> PersistentHeap::Create(

@@ -53,8 +53,6 @@ TEST(TraceLayoutTest, FormatThenValidate) {
   EXPECT_EQ(area.header()->events_per_thread, events);
 }
 
-#ifndef TSP_OBS_DISABLED
-
 TEST(RecorderTest, AttachRequiresAReservation) {
   // Runtime areas below the carve threshold have no trace reservation.
   AreaBuffer buffer(kMiB);
@@ -212,17 +210,6 @@ TEST(RecorderTest, WritersAreDistinctPerThread) {
   EXPECT_EQ(recorder->EventsRecorded(),
             1u + static_cast<std::uint64_t>(kThreads) * kEventsPerThread);
 }
-
-#else  // TSP_OBS_DISABLED
-
-TEST(RecorderTest, DisabledBuildNeverAttaches) {
-  AreaBuffer buffer(8 * kMiB);
-  EXPECT_EQ(
-      Recorder::Attach(buffer.base, buffer.size, Recorder::AttachOptions{}),
-      nullptr);
-}
-
-#endif  // TSP_OBS_DISABLED
 
 }  // namespace
 }  // namespace tsp::obs

@@ -76,9 +76,6 @@ using workload::MapVariant;
 }
 
 TEST(TraceCrashTest, OpenSpansMatchRecoveredRollbacks) {
-#ifdef TSP_OBS_DISABLED
-  GTEST_SKIP() << "flight recorder compiled out (TSP_OBS=OFF)";
-#else
   ScopedRegionFile file("trace_crash");
   MapSession::Config config;
   config.variant = MapVariant::kMutexLogOnly;
@@ -183,7 +180,6 @@ TEST(TraceCrashTest, OpenSpansMatchRecoveredRollbacks) {
       << "recorder and recovery never agreed across " << cycles
       << " rollback cycles — more than the rare publication race "
          "explains";
-#endif  // TSP_OBS_DISABLED
 }
 
 }  // namespace
